@@ -57,9 +57,8 @@ pub fn unfairness_run_full(
 }
 
 /// Builds and runs one unfairness scenario to `duration`, returning the
-/// finished testbed (for event-count/goodput inspection — `bench-core`
-/// reads its trajectory metrics off it) and the four flows in H1–H4
-/// order.
+/// finished testbed (for counter and goodput inspection) and the four
+/// flows in H1–H4 order.
 pub fn unfairness_scenario(
     cc: CcChoice,
     seed: u64,
@@ -121,8 +120,8 @@ pub fn victim_run_full(
 }
 
 /// Builds and runs one victim-flow scenario to `duration`, returning the
-/// finished testbed and the victim flow. Shared by [`victim_run_full`]
-/// and `bench-core`.
+/// finished testbed and the victim flow, which was added last (flow ids
+/// run densely from 0). Used by [`victim_run_full`].
 pub fn victim_scenario(
     cc: CcChoice,
     t3_senders: usize,

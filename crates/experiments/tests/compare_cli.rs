@@ -1,7 +1,9 @@
-//! The `repro compare` / `repro bench-trajectory` exit-code contract,
-//! driven through the real binary: self-diff is clean (exit 0), an
-//! injected counter regression fails (exit 1), tolerances forgive small
-//! drift, and the bench trajectory flags >10% events/sec drops.
+//! The `repro compare` exit-code contract, driven through the real
+//! binary: self-diff is clean (exit 0), an injected counter regression
+//! fails (exit 1), tolerances forgive small drift, and unreadable or
+//! malformed files are usage errors (exit 2). The malformed-file cases
+//! also drive `repro chaos --replay`, the other command that parses a
+//! JSON file from disk.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -63,7 +65,7 @@ fn injected_counter_regression_exits_nonzero() {
 fn wall_clock_noise_is_ignored_and_tolerances_forgive() {
     let dir = tmp_dir("tol");
     let a = write(&dir, "a.json", BASE);
-    // wall_ms is in the default ignore list; pause_tx drifts by 2.5%.
+    // wall_ms differs and is ignored by name; pause_tx drifts by 2.5%.
     let b = write(
         &dir,
         "b.json",
@@ -71,7 +73,13 @@ fn wall_clock_noise_is_ignored_and_tolerances_forgive() {
             .replace("917", "2048")
             .replace("\"pause_tx\": 40", "\"pause_tx\": 41"),
     );
-    let strict = repro().arg("compare").arg(&a).arg(&b).status().unwrap();
+    let strict = repro()
+        .arg("compare")
+        .arg(&a)
+        .arg(&b)
+        .args(["--ignore", "wall_ms"])
+        .status()
+        .unwrap();
     assert_eq!(
         strict.code(),
         Some(1),
@@ -81,7 +89,7 @@ fn wall_clock_noise_is_ignored_and_tolerances_forgive() {
         .args(["compare"])
         .arg(&a)
         .arg(&b)
-        .args(["--rel-pct", "5"])
+        .args(["--ignore", "wall_ms", "--rel-pct", "5"])
         .status()
         .unwrap();
     assert_eq!(loose.code(), Some(0), "--rel-pct 5 forgives 2.5% drift");
@@ -97,69 +105,35 @@ fn missing_file_is_a_usage_error() {
     assert_eq!(status.code(), Some(2));
 }
 
-fn bench_snapshot(label: &str, events_per_sec: u64) -> String {
-    format!(
-        r#"{{
-  "label": "{label}",
-  "profile": "release",
-  "quick": false,
-  "schema": "bench-core-v1",
-  "scenarios": [
-    {{
-      "allocations": 10,
-      "checksum": 12345,
-      "events_executed": 1000000,
-      "events_per_sec": {events_per_sec},
-      "name": "queue_churn",
-      "peak_pending_events": 64,
-      "sim_time_us": 1000.0,
-      "wall_ms": 50.0
-    }}
-  ]
-}}
-"#
-    )
-}
-
-#[test]
-fn trajectory_warns_on_drop_and_strict_fails() {
-    let dir = tmp_dir("traj");
-    write(&dir, "BENCH_pr1.json", &bench_snapshot("pr1", 10_000_000));
-    write(&dir, "BENCH_pr2.json", &bench_snapshot("pr2", 8_000_000));
-    // 20% drop: plain run reports it but exits 0; --strict exits 1.
-    let out = repro().arg("bench-trajectory").arg(&dir).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("queue_churn"),
-        "warning names the scenario:\n{text}"
-    );
-    let strict = repro()
-        .arg("bench-trajectory")
-        .arg(&dir)
-        .arg("--strict")
-        .status()
-        .unwrap();
-    assert_eq!(
-        strict.code(),
-        Some(1),
-        "--strict turns warnings into failure"
-    );
+/// Runs `repro compare f f` and `repro chaos --replay f` on `text` and
+/// asserts both reject the file as a usage error (exit 2) that names
+/// `reason`, rather than aborting or reporting a difference.
+fn assert_rejected(tag: &str, text: &str, reason: &str) {
+    let dir = tmp_dir(tag);
+    let path = write(&dir, "bad.json", text);
+    let f = path.to_str().unwrap();
+    for cmd in [["compare", f, f], ["chaos", "--replay", f]] {
+        let out = repro().args(cmd).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: {stderr}");
+        assert!(stderr.contains(reason), "{cmd:?} names the cause: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn trajectory_is_quiet_when_throughput_holds() {
-    let dir = tmp_dir("flat");
-    write(&dir, "BENCH_pr1.json", &bench_snapshot("pr1", 10_000_000));
-    write(&dir, "BENCH_pr2.json", &bench_snapshot("pr2", 9_500_000));
-    // 5% is within the 10% tolerance band.
-    let status = repro()
-        .arg("bench-trajectory")
-        .arg(&dir)
-        .arg("--strict")
-        .status()
-        .unwrap();
-    assert_eq!(status.code(), Some(0));
-    std::fs::remove_dir_all(&dir).ok();
+fn deeply_nested_file_is_a_usage_error() {
+    // Without a depth bound this overflows the parser's stack.
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    assert_rejected("deep", &deep, "nesting deeper than");
+}
+
+#[test]
+fn non_finite_number_is_a_usage_error() {
+    // 1e999 would otherwise parse as infinity and diff as `inf vs inf`.
+    assert_rejected(
+        "inf",
+        "{\"x\": 1e999}\n",
+        "non-finite number '1e999' at byte 6",
+    );
 }

@@ -119,28 +119,6 @@ pub enum Event {
     },
 }
 
-/// Names for [`Event::kind_index`] values, used by the telemetry
-/// profiler's per-kind report.
-pub const EVENT_KIND_NAMES: [&str; 7] = [
-    "deliver", "tx_done", "timer", "sample", "hook", "fault", "watchdog",
-];
-
-impl Event {
-    /// Index of this event's kind into [`EVENT_KIND_NAMES`].
-    #[inline]
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Event::Deliver { .. } => 0,
-            Event::TxDone { .. } => 1,
-            Event::Timer { .. } => 2,
-            Event::Sample => 3,
-            Event::Hook { .. } => 4,
-            Event::Fault { .. } => 5,
-            Event::Watchdog { .. } => 6,
-        }
-    }
-}
-
 struct Scheduled {
     at: Time,
     seq: u64,
@@ -206,8 +184,6 @@ pub struct EventQueue {
     seq: u64,
     now: Time,
     popped: u64,
-    #[cfg(feature = "profile")]
-    peak_pending: usize,
 }
 
 impl Default for EventQueue {
@@ -229,8 +205,6 @@ impl EventQueue {
             seq: 0,
             now: Time::ZERO,
             popped: 0,
-            #[cfg(feature = "profile")]
-            peak_pending: 0,
         }
     }
 
@@ -282,23 +256,6 @@ impl EventQueue {
             self.wheel_len += 1;
         } else {
             self.overflow.push(Reverse(s));
-        }
-        #[cfg(feature = "profile")]
-        {
-            self.peak_pending = self.peak_pending.max(self.len());
-        }
-    }
-
-    /// High-water mark of pending events, tracked under
-    /// `--features profile` (0 otherwise).
-    pub fn peak_pending(&self) -> usize {
-        #[cfg(feature = "profile")]
-        {
-            self.peak_pending
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            0
         }
     }
 

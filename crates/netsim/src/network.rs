@@ -14,7 +14,6 @@ use crate::routing::{compute_routes_masked, Edge};
 use crate::slab::PacketPool;
 use crate::stats::{FlowStats, SamplerConfig, SwitchStats};
 use crate::switch::{Switch, SwitchConfig};
-use crate::telemetry::profile::Profiler;
 use crate::telemetry::recorder::{FlightDump, FlightRecorder};
 use crate::telemetry::registry::CounterId;
 use crate::telemetry::spans::{CongestionTree, Spans, NUM_SPAN_STATES};
@@ -258,7 +257,6 @@ impl NetworkBuilder {
             sample_interval: None,
             timelines: TimelineSet::new(),
             hooks: Vec::new(),
-            profiler: Profiler::new(),
             dumped_violations: 0,
             batch: Vec::new(),
         }
@@ -327,8 +325,6 @@ pub struct Network {
     sampler: Sampler,
     sample_interval: Option<Duration>,
     hooks: Vec<Option<Hook>>,
-    /// Event-loop self-profiler (`--features profile`; no-op otherwise).
-    profiler: Profiler,
     /// How many recorded auditor violations have already triggered a
     /// flight-recorder dump (cursor into `audit.violations()`).
     dumped_violations: usize,
@@ -807,16 +803,7 @@ impl Network {
         while let Some(t) = self.ctx.queue.pop_batch(until, &mut batch) {
             for event in batch.drain(..) {
                 self.ctx.audit.on_event(t);
-                let kind = if Profiler::enabled() {
-                    event.kind_index()
-                } else {
-                    0
-                };
-                // `mark` is `()` without the profile feature.
-                #[allow(clippy::let_unit_value)]
-                let mark = self.profiler.mark();
                 self.dispatch(event);
-                self.profiler.on_event(kind, mark);
                 if self.ctx.audit.buffer_check_due() {
                     self.audit_buffers_now();
                 }
@@ -1068,12 +1055,6 @@ impl Network {
         self.ctx.queue.events_executed()
     }
 
-    /// High-water mark of pending events, tracked under
-    /// `--features profile` (0 otherwise).
-    pub fn peak_pending_events(&self) -> usize {
-        self.ctx.queue.peak_pending()
-    }
-
     /// Enables the per-node flight recorder with `capacity` events per
     /// node (on by default when the `sanitize` feature is compiled in).
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
@@ -1094,11 +1075,9 @@ impl Network {
     }
 
     /// Builds the machine-readable run report: every registered counter,
-    /// gauge and histogram, per-flow stats, fault/audit tallies, and (with
-    /// `--features profile`) the event-loop profile. Deterministic for a
-    /// deterministic run — same topology, workload and seed ⇒ identical
-    /// JSON (the profile section is host-clock data and is only present
-    /// when that feature is compiled in).
+    /// gauge and histogram, per-flow stats, fault/audit tallies and
+    /// timeline summaries. Deterministic for a deterministic run — same
+    /// topology, workload and seed ⇒ identical JSON.
     pub fn telemetry_report(&self) -> Json {
         let now = self.ctx.queue.now();
         let reg = &self.ctx.metrics.registry;
@@ -1183,7 +1162,7 @@ impl Network {
             ("transitions", Json::UInt(fs.transitions)),
         ]);
 
-        let mut report = Json::obj(vec![
+        Json::obj(vec![
             ("audit", audit),
             ("counters", counters),
             ("events_executed", Json::UInt(self.events_executed())),
@@ -1193,11 +1172,7 @@ impl Network {
             ("histograms", histograms),
             ("sim_time_us", Json::Float(now.as_micros_f64())),
             ("timelines", self.timelines.summary_json()),
-        ]);
-        if let Some(profile) = self.profiler.report(self.ctx.queue.peak_pending()) {
-            report.push("profile", profile);
-        }
-        report
+        ])
     }
 
     /// Builds the run's dashboard: one chart per sampled track family

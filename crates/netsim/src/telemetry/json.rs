@@ -73,11 +73,14 @@ impl Json {
     /// Numbers without `.`/exponent parse as [`Json::UInt`] (or
     /// [`Json::Int`] when negative), everything else as [`Json::Float`] —
     /// matching what the renderer emits so case files round-trip exactly.
+    /// Numbers that do not fit a finite `f64` (`1e999`) and arrays or
+    /// objects nested deeper than [`MAX_PARSE_DEPTH`] are rejected.
     /// Errors carry the byte offset of the first offending character.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -188,10 +191,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// overflowing the stack. It sits far above what the repo writes: the
+/// fig3 `--json` report nests eight levels, Chrome traces four.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser state (byte cursor into the input).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -233,8 +244,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_PARSE_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_PARSE_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
@@ -370,9 +395,11 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
         if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+                Ok(_) => Err(format!("non-finite number '{text}' at byte {start}")),
+                Err(_) => Err(format!("invalid number '{text}' at byte {start}")),
+            }
         } else if text.starts_with('-') {
             text.parse::<i64>()
                 .map(Json::Int)
@@ -573,6 +600,30 @@ mod tests {
         assert!(Json::parse("\"bad \\x escape\"").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_numbers() {
+        let err = Json::parse("{\"x\": 1e999}").unwrap_err();
+        assert_eq!(err, "non-finite number '1e999' at byte 6");
+        assert!(Json::parse("[-1e999]").is_err());
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Float(1e308));
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let at_limit = Json::parse(&nest(MAX_PARSE_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&at_limit.render()).unwrap(), at_limit);
+        let err = Json::parse(&nest(MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_PARSE_DEPTH} at byte {MAX_PARSE_DEPTH}")
+        );
+        // Far past the limit fails the same way instead of overflowing
+        // the stack; objects count toward the same bound.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

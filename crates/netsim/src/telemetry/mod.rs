@@ -1,5 +1,5 @@
 //! Telemetry subsystem: metrics registry, HDR-style histograms, flight
-//! recorder, deterministic JSON, and an optional event-loop profiler.
+//! recorder, deterministic JSON, causal spans, timelines and dashboards.
 //!
 //! The paper's evaluation (§5) is measurement: per-flow throughput,
 //! pause-frame counts, queue-depth CDFs, mark/drop/retransmit tallies.
@@ -18,8 +18,6 @@
 //! * [`json`] — a small deterministic JSON renderer (sorted keys, fixed
 //!   float formatting) used for the experiments binary's `--json` run
 //!   reports; no external crates.
-//! * [`profile`] — the event-loop self-profiler behind
-//!   `--features profile`; every call is an inlined no-op without it.
 //! * [`spans`] — span-based causal tracing: per-flow latency
 //!   attribution (the FCT decomposition identity), the
 //!   pause-propagation congestion tree, and a deterministic Chrome
@@ -51,7 +49,6 @@
 pub mod dash;
 pub mod hist;
 pub mod json;
-pub mod profile;
 pub mod recorder;
 pub mod registry;
 pub mod spans;
@@ -60,7 +57,6 @@ pub mod timeline;
 pub use dash::{Dashboard, Series};
 pub use hist::Histogram;
 pub use json::{fmt_f64, Json};
-pub use profile::{ProfMark, Profiler};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use registry::{CounterId, GaugeId, HistId, Metrics, Registry, WellKnown};
 pub use spans::{
