@@ -24,7 +24,7 @@ use crate::event::{LinkId, NodeId, PortId};
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::host::HostConfig;
 use crate::network::Network;
-use crate::packet::DATA_PRIORITY;
+use crate::packet::{DATA_PRIORITY, NUM_PRIORITIES};
 use crate::rng::{mix64, SplitMix64};
 use crate::switch::{PfcWatchdogConfig, SwitchConfig};
 use crate::telemetry::Json;
@@ -244,6 +244,42 @@ pub enum FaultSpec {
         /// Wedge time, µs.
         at_us: u64,
     },
+}
+
+impl FaultSpec {
+    /// Checks every index the spec names against `net`, built from
+    /// `shape`: links, hosts, switches, the wedged port and the PFC
+    /// class. Replay files are untrusted input, and an out-of-range
+    /// index would otherwise panic mid-run.
+    fn check_targets(&self, shape: TopoShape, net: &Network) -> Result<(), String> {
+        let check = |what: &str, i: u64, n: usize| {
+            if i < n as u64 {
+                Ok(())
+            } else {
+                Err(format!("fault references {what} {i}, out of range 0..{n}"))
+            }
+        };
+        match *self {
+            FaultSpec::Flap { link, .. } | FaultSpec::BitError { link, .. } => {
+                check("link", link.into(), shape.links)
+            }
+            FaultSpec::Storm { host, class, .. } => {
+                check("host", host.into(), shape.hosts)?;
+                check("class", class.into(), NUM_PRIORITIES)
+            }
+            FaultSpec::Wedge {
+                switch,
+                port,
+                class,
+                ..
+            } => {
+                check("switch", switch.into(), shape.switches)?;
+                check("class", class.into(), NUM_PRIORITIES)?;
+                let ports = net.switch(NodeId(switch as usize)).ports.len();
+                check("port", port.into(), ports)
+            }
+        }
+    }
 }
 
 /// A complete, self-describing chaos scenario.
@@ -717,7 +753,8 @@ impl CaseReport {
 /// watchdog is forced on (the convergence auditor assumes storms are
 /// survivable). `make_cc` builds one CC instance per flow from the NIC
 /// line rate. Returns `Err` if the expanded fault schedule fails
-/// [`FaultPlan::validate`].
+/// [`FaultPlan::validate`], or if a flow or fault names a host, switch,
+/// link, port or PFC class the topology does not have.
 pub fn run_case(
     case: &ChaosCase,
     host_cfg: HostConfig,
@@ -735,6 +772,9 @@ pub fn run_case(
     net.enable_flight_recorder(64);
 
     let shape = case.topo.shape();
+    for spec in &case.faults {
+        spec.check_targets(shape, &net)?;
+    }
     for f in &case.flows {
         if f.src as usize >= shape.hosts || f.dst as usize >= shape.hosts {
             return Err(format!(
