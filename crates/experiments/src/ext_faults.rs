@@ -51,8 +51,9 @@ pub fn link_flap(quick: bool) {
             r.aborts, r.reroutes, r.link_drops
         );
     }
-    // The headline claims, checked against the telemetry registry (the
-    // counters the scenario now reads directly, not the packet trace):
+    // The headline claims, checked against the fabric-wide counters (the
+    // ones the scenario reads through `Network::metric`, not the packet
+    // trace):
     // the flap really dropped frames in both variants, failover kept
     // every QP alive, and static routing tore down the stranded ones.
     assert!(
@@ -133,7 +134,7 @@ pub fn pause_storm(quick: bool) {
             r.watchdog_restores
         );
     }
-    // Checked against the telemetry registry's watchdog counters: every
+    // Checked against the fabric-wide watchdog counters: every
     // watchdog-equipped variant trips (and later restores), and no
     // watchdog-less variant can.
     for ((label, _, watchdog), r) in grid.iter().zip(&results) {

@@ -393,11 +393,11 @@ pub struct LinkFlapResult {
     /// Aggregate goodput (Gbps) across all flows, in 1 ms bins.
     pub bins: Vec<f64>,
     /// Flows that exhausted their transport retries and tore down —
-    /// the telemetry registry's `qp_teardowns` counter.
+    /// the fabric-wide `qp_teardowns` counter.
     pub aborts: usize,
     /// Route recomputations triggered by link transitions.
     pub reroutes: u64,
-    /// Fault-tagged wire drops — the telemetry registry's `fault_drops`
+    /// Fault-tagged wire drops — the fabric-wide `fault_drops`
     /// counter (the flap is the only fault installed, so every tagged
     /// drop is a link-down drop).
     pub link_drops: u64,
@@ -479,9 +479,9 @@ pub fn link_flap_run(
                 .sum()
         })
         .collect();
-    // Degradation counters come straight from the telemetry registry —
-    // the same numbers any `--json` consumer sees — instead of being
-    // re-derived from per-flow stats or the packet trace.
+    // Degradation counters come from `Network::metric` — the same
+    // numbers any `--json` consumer sees — instead of being summed here
+    // from per-flow stats or the packet trace.
     let fs = tb.net.fault_stats();
     LinkFlapResult {
         bins,
@@ -501,10 +501,9 @@ pub struct PauseStormResult {
     pub victim_after_gbps: f64,
     /// PAUSE frames received at the two spines (congestion spreading).
     pub spine_pause_rx: u64,
-    /// Watchdog trips — the telemetry registry's `watchdog_trips`
-    /// counter.
+    /// Watchdog trips — the fabric-wide `watchdog_trips` counter.
     pub watchdog_trips: u64,
-    /// Watchdog restores — the telemetry registry's `watchdog_restores`
+    /// Watchdog restores — the fabric-wide `watchdog_restores`
     /// counter.
     pub watchdog_restores: u64,
     /// The run's full telemetry report for `--json` output.
@@ -564,8 +563,8 @@ pub fn pause_storm_victim_run(
     tb.net.run_until(end);
 
     // Spine PAUSE counts need per-node attribution, so they stay on the
-    // per-switch stats; the fabric-wide watchdog counters come from the
-    // telemetry registry, same as any `--json` consumer sees them.
+    // per-switch stats; the fabric-wide watchdog counters come from
+    // `Network::metric`, same as any `--json` consumer sees them.
     let mut spine_pause_rx = 0;
     for &s in &tb.spines {
         spine_pause_rx += tb.net.switch_stats(s).pause_rx;

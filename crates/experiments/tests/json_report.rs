@@ -2,7 +2,7 @@
 //! experiment's config + seeds, so it must be byte-identical no matter
 //! how many worker threads `REPRO_THREADS` fans the runs across — the
 //! same property `tests/determinism.rs` pins for raw results, extended
-//! here through the telemetry registry and the JSON renderer.
+//! here through the telemetry report and the JSON renderer.
 
 use std::sync::Mutex;
 
@@ -22,7 +22,7 @@ fn fig3_report_is_byte_identical_across_thread_counts() {
         "fig3 report differs between REPRO_THREADS=1 and =8"
     );
     // And it is a real report, not an empty shell: stamped with its id
-    // and carrying per-run telemetry from the registry.
+    // and carrying per-run telemetry.
     assert!(serial.contains("\"id\": \"fig3\""));
     assert!(serial.contains("\"per_host_goodput_gbps\""));
     assert!(serial.contains("\"queue_depth_bytes\""));

@@ -292,10 +292,9 @@ impl Host {
                 let released = self.port.apply_pfc(class, pause, now);
                 if released {
                     if paused_since != Time::NEVER {
-                        ctx.metrics.observe(
-                            ctx.metrics.h.pause_duration_us,
-                            now.saturating_since(paused_since).as_micros_f64() as u64,
-                        );
+                        ctx.metrics
+                            .pause_duration_us
+                            .observe(now.saturating_since(paused_since).as_micros_f64() as u64);
                     }
                     self.try_send(ctx);
                 }
@@ -364,16 +363,14 @@ impl Host {
                 };
                 if due {
                     if let Some(last) = rcv.last_cnp {
-                        ctx.metrics.observe(
-                            ctx.metrics.h.cnp_interarrival_us,
-                            (now - last).as_micros_f64() as u64,
-                        );
+                        ctx.metrics
+                            .cnp_interarrival_us
+                            .observe((now - last).as_micros_f64() as u64);
                     }
                     rcv.last_cnp = Some(now);
                     cnp = Some(Packet::cnp(host_id, rcv.src, pkt.flow));
                     ctx.stats(pkt.flow).cnps_sent += 1;
-                    ctx.metrics.inc(ctx.metrics.h.cnps_sent);
-                    ctx.record_trace(TraceEvent {
+                    ctx.flight.record(TraceEvent {
                         at: now,
                         node: host_id,
                         flow: pkt.flow,
@@ -396,7 +393,7 @@ impl Host {
             let st = ctx.stats(pkt.flow);
             st.delivered_pkts += 1;
             st.delivered_bytes += payload;
-            ctx.record_trace(TraceEvent {
+            ctx.flight.record(TraceEvent {
                 at: now,
                 node: host_id,
                 flow: pkt.flow,
@@ -426,8 +423,7 @@ impl Host {
                 rcv.last_nack_at = now;
                 control = Some(Packet::nack(host_id, rcv.src, pkt.flow, expected));
                 ctx.stats(pkt.flow).nacks_sent += 1;
-                ctx.metrics.inc(ctx.metrics.h.nacks_sent);
-                ctx.record_trace(TraceEvent {
+                ctx.flight.record(TraceEvent {
                     at: now,
                     node: host_id,
                     flow: pkt.flow,
@@ -488,11 +484,9 @@ impl Host {
                 started: m.arrived,
                 bytes: m.total,
             });
-            ctx.metrics.inc(ctx.metrics.h.completions);
-            ctx.metrics.observe(
-                ctx.metrics.h.fct_us,
-                now.saturating_since(m.arrived).as_micros_f64() as u64,
-            );
+            ctx.metrics
+                .fct_us
+                .observe(now.saturating_since(m.arrived).as_micros_f64() as u64);
             ctx.complete_span(id, self.id, now);
         }
 
@@ -585,7 +579,6 @@ impl Host {
                         f.rto_deadline = Time::NEVER;
                         let id = f.id;
                         ctx.stats(id).aborted = true;
-                        ctx.metrics.inc(ctx.metrics.h.qp_teardowns);
                         ctx.flight
                             .dump(self.id, now, &format!("qp_teardown flow={}", id.0));
                         self.update_spans(ctx);
@@ -593,8 +586,7 @@ impl Host {
                     }
                     f.send_psn = f.una_psn;
                     ctx.stats(f.id).timeouts += 1;
-                    ctx.metrics.inc(ctx.metrics.h.timeouts);
-                    ctx.record_trace(TraceEvent {
+                    ctx.flight.record(TraceEvent {
                         at: now,
                         node: self.id,
                         flow: f.id,
@@ -807,7 +799,6 @@ impl Host {
 
         if is_retx {
             ctx.stats(f.id).retx_pkts += 1;
-            ctx.metrics.inc(ctx.metrics.h.retx_pkts);
         } else {
             f.unacked.push_back(SentPkt {
                 payload: payload as u32,
@@ -820,11 +811,7 @@ impl Host {
         }
         f.send_psn += 1;
         f.last_activity = now;
-        {
-            let st = ctx.stats(f.id);
-            st.sent_pkts += 1;
-            st.sent_bytes += wire;
-        }
+        ctx.stats(f.id).sent_pkts += 1;
 
         // Pacing: space packet *starts* by wire_time(rate). No credit
         // accumulates while the flow was blocked (hardware limiters do not

@@ -15,7 +15,6 @@ use crate::slab::PacketPool;
 use crate::stats::{FlowStats, SamplerConfig, SwitchStats};
 use crate::switch::{Switch, SwitchConfig};
 use crate::telemetry::recorder::{FlightDump, FlightRecorder};
-use crate::telemetry::registry::CounterId;
 use crate::telemetry::spans::{CongestionTree, Spans, NUM_SPAN_STATES};
 use crate::telemetry::timeline::{Timeline, TimelineSet, TrackId, TrackKind, DEFAULT_POINT_BUDGET};
 use crate::telemetry::{Dashboard, Json, Metrics, Series};
@@ -48,16 +47,16 @@ pub struct Ctx {
     /// Per-flow counters, indexed by flow id (ids are handed out
     /// sequentially from 0, so a flat Vec beats hashing on every packet).
     pub flow_stats: Vec<FlowStats>,
-    /// Packet-level event tracer (disabled unless enabled on the network).
-    pub tracer: Tracer,
     /// Runtime invariant auditor (active only with the `sanitize`
     /// feature; otherwise every call is an inlined no-op).
     pub audit: Auditor,
-    /// The telemetry metrics registry. Hot-path updates go through the
-    /// `Copy` handles in `metrics.h` — one array index, no hashing.
+    /// Run-wide measurements no per-node store owns (histograms, the
+    /// buffer high-water mark, convergence tallies). Plain fields.
     pub metrics: Metrics,
-    /// Per-node flight recorder (disabled by default; auto-enabled when
-    /// the sanitize auditor is compiled in).
+    /// The one trace record path: feeds the global packet trace
+    /// (disabled unless enabled on the network) and the per-node flight
+    /// rings (disabled by default; auto-enabled when the sanitize
+    /// auditor is compiled in). Each is one branch when disabled.
     pub flight: FlightRecorder,
     /// Span-based causal tracer (disabled unless enabled on the network;
     /// every hook is one branch when off).
@@ -75,14 +74,6 @@ impl Ctx {
             self.flow_stats.resize_with(i + 1, FlowStats::default);
         }
         &mut self.flow_stats[i]
-    }
-
-    /// Records a trace event to both the packet tracer and the flight
-    /// recorder (each is one branch when disabled).
-    #[inline]
-    pub fn record_trace(&mut self, event: TraceEvent) {
-        self.tracer.record(event);
-        self.flight.record(event);
     }
 
     /// Settles a flow's span timeline at a message completion and routes
@@ -240,9 +231,8 @@ impl NetworkBuilder {
                 rng,
                 ecmp_salt,
                 flow_stats: Vec::new(),
-                tracer: Tracer::disabled(),
                 audit: Auditor::default(),
-                metrics: Metrics::standard(),
+                metrics: Metrics::default(),
                 flight,
                 spans: Spans::disabled(),
                 pool: PacketPool::new(),
@@ -274,19 +264,59 @@ struct RateTap {
     track: TrackId,
 }
 
-/// A registry counter sampled as per-interval deltas (PAUSE/ECN/CNP/drop
-/// rates). `prev` is the counter value at the previous tick.
+/// A fabric-wide counter sampled as per-interval deltas (PAUSE/ECN/CNP/
+/// drop rates). `counter` indexes [`COUNTERS`]; `prev` is the counter
+/// value at the previous tick.
 #[derive(Debug, Clone, Copy)]
 struct CounterTap {
-    id: CounterId,
+    counter: usize,
     track: TrackId,
     prev: u64,
 }
 
+/// A fabric-wide counter: its report name and its derivation.
+type Counter = (&'static str, fn(&Network) -> u64);
+
+/// Every fabric-wide counter, in report order (the `counters` section of
+/// the telemetry report keeps this order). Each count is kept once, by
+/// the store that owns it: per-switch [`SwitchStats`], per-flow
+/// [`FlowStats`], the fault layer's [`FaultStats`] or, for the
+/// convergence tallies, [`Metrics`].
+const COUNTERS: [Counter; 20] = [
+    ("ecn_marks", |n| n.switch_sum(|s| s.ecn_marks)),
+    ("pause_tx", |n| n.switch_sum(|s| s.pause_tx)),
+    ("pause_rx", |n| n.switch_sum(|s| s.pause_rx)),
+    ("resume_tx", |n| n.switch_sum(|s| s.resume_tx)),
+    ("drops_pool", |n| n.switch_sum(|s| s.drops_pool)),
+    ("drops_lossy", |n| n.switch_sum(|s| s.drops_lossy)),
+    // `wire_fate` is the only place a frame is lost to a fault.
+    ("fault_drops", |n| {
+        n.faults.stats.link_drops + n.faults.stats.crc_drops
+    }),
+    ("forwarded", |n| n.switch_sum(|s| s.forwarded)),
+    ("retx_pkts", |n| n.flow_sum(|f| f.retx_pkts)),
+    ("timeouts", |n| n.flow_sum(|f| f.timeouts)),
+    ("nacks_sent", |n| n.flow_sum(|f| f.nacks_sent)),
+    ("cnps_sent", |n| n.flow_sum(|f| f.cnps_sent)),
+    ("watchdog_trips", |n| n.switch_sum(|s| s.watchdog_trips)),
+    ("watchdog_restores", |n| {
+        n.switch_sum(|s| s.watchdog_restores)
+    }),
+    ("qp_teardowns", |n| n.flow_sum(|f| u64::from(f.aborted))),
+    ("completions", |n| {
+        n.flow_sum(|f| f.completions.len() as u64)
+    }),
+    ("link_transitions", |n| n.faults.stats.transitions),
+    ("storm_pauses", |n| n.faults.stats.storm_pauses),
+    ("convergence_checks", |n| n.ctx.metrics.convergence_checks),
+    ("convergence_violations", |n| {
+        n.ctx.metrics.convergence_violations
+    }),
+];
+
 /// The periodic sampler's resolved state: every watched quantity bound
 /// to its timeline track at `enable_sampling` time (cold), so
-/// `take_sample` is pure index arithmetic — no map lookups, no
-/// allocation, matching the registry's hot-path discipline.
+/// `take_sample` does no name lookups and no allocation.
 #[derive(Debug, Clone, Default)]
 struct Sampler {
     /// Record delivered bytes for every flow (including ones added after
@@ -374,6 +404,22 @@ impl Network {
     /// A switch's counters.
     pub fn switch_stats(&self, id: NodeId) -> SwitchStats {
         self.switch(id).stats
+    }
+
+    /// One `SwitchStats` field summed over every switch.
+    fn switch_sum(&self, field: impl Fn(&SwitchStats) -> u64) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| match n {
+                Node::Switch(s) => field(&s.stats),
+                Node::Host(_) => 0,
+            })
+            .sum()
+    }
+
+    /// One `FlowStats` field summed over every flow.
+    fn flow_sum(&self, field: impl Fn(&FlowStats) -> u64) -> u64 {
+        self.ctx.flow_stats.iter().map(field).sum()
     }
 
     /// Line rate of a host's NIC.
@@ -509,13 +555,13 @@ impl Network {
     /// its disabled state (one branch per record) rather than an
     /// always-empty ring that still pays the record cost.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.ctx.tracer.enable(capacity);
+        self.ctx.flight.enable_trace(capacity);
     }
 
     /// The recorded trace (empty unless [`Network::enable_trace`] was
     /// called).
     pub fn trace(&self) -> &Tracer {
-        &self.ctx.tracer
+        self.ctx.flight.trace()
     }
 
     /// Enables span-based causal tracing (see `telemetry::spans`): up to
@@ -552,12 +598,12 @@ impl Network {
     /// Enables periodic sampling every `interval`: each watched queue,
     /// flow and counter named by `config` becomes a bounded-memory
     /// track in [`Network::timelines`]. Registration (name formatting,
-    /// track allocation) happens here, once; the per-tick sample is
-    /// index arithmetic only.
+    /// track allocation) happens here, once; the per-tick sample does no
+    /// name lookups.
     ///
     /// # Panics
-    /// Panics when `config.counters` names a counter that is not
-    /// registered — a config typo, caught up front.
+    /// Panics when `config.counters` names an unknown counter — a config
+    /// typo, caught up front.
     pub fn enable_sampling(&mut self, interval: Duration, config: SamplerConfig) {
         let use_all = config.all_flows || config.flows.is_empty();
         let mut sampler = Sampler {
@@ -589,11 +635,9 @@ impl Network {
             });
         }
         for name in &config.counters {
-            let id = self
-                .ctx
-                .metrics
-                .registry
-                .counter_id(name)
+            let counter = COUNTERS
+                .iter()
+                .position(|(n, _)| n == name)
                 .unwrap_or_else(|| panic!("enable_sampling: unknown counter '{name}'"));
             let track = self.timelines.track(
                 &format!("rate/{name}"),
@@ -602,9 +646,9 @@ impl Network {
                 DEFAULT_POINT_BUDGET,
             );
             sampler.counters.push(CounterTap {
-                id,
+                counter,
                 track,
-                prev: self.ctx.metrics.registry.counter_get(id),
+                prev: (COUNTERS[counter].1)(self),
             });
         }
         self.sampler = sampler;
@@ -682,8 +726,7 @@ impl Network {
         let (a, pa, b, pb) = self.edges[link.0];
         self.reset_pfc_at(a, pa);
         self.reset_pfc_at(b, pb);
-        self.ctx.metrics.inc(self.ctx.metrics.h.link_transitions);
-        self.ctx.record_trace(TraceEvent {
+        self.ctx.flight.record(TraceEvent {
             at: self.ctx.queue.now(),
             node: a,
             flow: FlowId(u64::MAX),
@@ -755,7 +798,6 @@ impl Network {
                             .pfc_queue
                             .push_back(Packet::pfc(host, att.peer, class, true));
                         faults.stats.storm_pauses += 1;
-                        ctx.metrics.inc(ctx.metrics.h.storm_pauses);
                         if ctx.spans.is_enabled() {
                             ctx.spans.record_pause_edge(crate::faults::storm_pause_edge(
                                 host, att, class, now,
@@ -1038,11 +1080,8 @@ impl Network {
             }
         }
 
-        self.ctx.metrics.inc(self.ctx.metrics.h.convergence_checks);
-        self.ctx.metrics.add(
-            self.ctx.metrics.h.convergence_violations,
-            violations.len() as u64,
-        );
+        self.ctx.metrics.convergence_checks += 1;
+        self.ctx.metrics.convergence_violations += violations.len() as u64;
         self.ctx.audit.record_all(&violations);
         if self.ctx.audit.violations().len() != self.dumped_violations {
             self.flight_dump_new_violations();
@@ -1066,32 +1105,35 @@ impl Network {
         self.ctx.flight.dumps()
     }
 
-    /// Cold name-based counter lookup (0 for unknown names). The hot path
-    /// never uses this — it updates through `ctx.metrics.h` handles.
+    /// A fabric-wide counter by name (0 for unknown names), derived from
+    /// the per-switch, per-flow and fault stats (see `COUNTERS`): a
+    /// walk over every node or flow, so a cold, post-run accessor.
     pub fn metric(&self, name: &str) -> u64 {
-        // Post-run accessor, never inside the dispatch loop (the call
-        // graph proves it cold, so no suppression is needed).
-        self.ctx.metrics.registry.counter_value(name).unwrap_or(0)
+        COUNTERS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, derive)| derive(self))
     }
 
-    /// Builds the machine-readable run report: every registered counter,
-    /// gauge and histogram, per-flow stats, fault/audit tallies and
-    /// timeline summaries. Deterministic for a deterministic run — same
-    /// topology, workload and seed ⇒ identical JSON.
+    /// Builds the machine-readable run report: every fabric-wide counter,
+    /// the buffer high-water gauge, every histogram, per-flow stats,
+    /// fault/audit tallies and timeline summaries. Deterministic for a
+    /// deterministic run — same topology, workload and seed ⇒ identical
+    /// JSON.
     pub fn telemetry_report(&self) -> Json {
         let now = self.ctx.queue.now();
-        let reg = &self.ctx.metrics.registry;
+        let metrics = &self.ctx.metrics;
 
         let mut counters = Json::obj(vec![]);
-        for (name, value) in reg.counters() {
-            counters.push(name, Json::UInt(value));
+        for (name, derive) in COUNTERS {
+            counters.push(name, Json::UInt(derive(self)));
         }
-        let mut gauges = Json::obj(vec![]);
-        for (name, value) in reg.gauges() {
-            gauges.push(name, Json::UInt(value));
-        }
+        let gauges = Json::obj(vec![(
+            "peak_buffer_bytes",
+            Json::UInt(metrics.peak_buffer_bytes),
+        )]);
         let mut histograms = Json::obj(vec![]);
-        for (name, hist) in reg.histograms() {
+        for (name, hist) in metrics.histograms() {
             let buckets = Json::Arr(
                 hist.nonzero_buckets()
                     .map(|(floor, count)| {
@@ -1308,12 +1350,10 @@ impl Network {
             }
         }
 
-        // End-of-run counter totals (nonzero only, registration order).
-        let totals: Vec<(String, String)> = self
-            .ctx
-            .metrics
-            .registry
-            .counters()
+        // End-of-run counter totals (nonzero only, report order).
+        let totals: Vec<(String, String)> = COUNTERS
+            .iter()
+            .map(|(name, derive)| (name, derive(self)))
             .filter(|&(_, v)| v > 0)
             .map(|(name, v)| (name.to_string(), v.to_string()))
             .collect();
@@ -1345,8 +1385,7 @@ impl Network {
                         if fate != WireFate::Deliver {
                             ctx.audit
                                 .on_fault_drop(node, pkt.priority as usize, ctx.queue.now());
-                            ctx.metrics.inc(ctx.metrics.h.fault_drops);
-                            ctx.record_trace(TraceEvent {
+                            ctx.flight.record(TraceEvent {
                                 at: ctx.queue.now(),
                                 node,
                                 flow: pkt.flow,
@@ -1406,9 +1445,10 @@ impl Network {
     }
 
     /// One periodic sampler tick. Every watched quantity was bound to
-    /// its track at `enable_sampling`/`add_flow` time, so this is pure
-    /// index arithmetic plus integer adds — no lookups, no allocation
-    /// (beyond a track's one-time, budget-capped bucket growth).
+    /// its track at `enable_sampling`/`add_flow` time, so this does no
+    /// name lookups and no allocation (beyond a track's one-time,
+    /// budget-capped bucket growth). A sampled counter costs one walk
+    /// over the switches or flows that own it.
     fn take_sample(&mut self) {
         let now = self.ctx.queue.now();
         let Network {
@@ -1442,11 +1482,11 @@ impl Network {
             };
             timelines.record_f64(tap.track, now, rate);
         }
-        for k in 0..sampler.counters.len() {
-            let tap = &mut sampler.counters[k];
-            let value = ctx.metrics.registry.counter_get(tap.id);
-            timelines.record(tap.track, now, value - tap.prev);
-            tap.prev = value;
+        for k in 0..self.sampler.counters.len() {
+            let tap = self.sampler.counters[k];
+            let value = (COUNTERS[tap.counter].1)(self);
+            self.timelines.record(tap.track, now, value - tap.prev);
+            self.sampler.counters[k].prev = value;
         }
     }
 }
@@ -1523,6 +1563,17 @@ mod tests {
         net.run_until(Time::from_millis(3));
         assert_eq!(net.now(), Time::from_millis(3));
         assert_eq!(net.flow_stats(f).completions.len(), 2);
+    }
+
+    #[test]
+    fn counter_names_are_unique() {
+        let mut names: Vec<&str> = COUNTERS.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COUNTERS.len());
+        let (net, _, _) = tiny();
+        assert_eq!(net.metric("ecn_marks"), 0);
+        assert_eq!(net.metric("no_such_counter"), 0);
     }
 
     #[test]

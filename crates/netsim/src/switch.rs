@@ -206,9 +206,6 @@ impl Switch {
         // Link-local PFC frames control our transmitter on that port.
         if let PacketKind::Pfc { class, pause } = pkt.kind {
             self.stats.pause_rx += pause as u64;
-            if pause {
-                ctx.metrics.inc(ctx.metrics.h.pause_rx);
-            }
             let wd = self.config.watchdog;
             let port = &mut self.ports[in_port.0];
             let newly_paused = pause && !port.rx_paused[class as usize];
@@ -234,10 +231,9 @@ impl Switch {
             }
             if released {
                 if paused_since != Time::NEVER {
-                    ctx.metrics.observe(
-                        ctx.metrics.h.pause_duration_us,
-                        now.saturating_since(paused_since).as_micros_f64() as u64,
-                    );
+                    ctx.metrics
+                        .pause_duration_us
+                        .observe(now.saturating_since(paused_since).as_micros_f64() as u64);
                 }
                 self.try_transmit(ctx, in_port);
             }
@@ -250,10 +246,9 @@ impl Switch {
         // 1. Shared-pool admission.
         if !self.buffer.admit(in_port.0, prio, wire) {
             self.stats.drops_pool += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_pool);
             ctx.audit
                 .on_drop(self.id, prio, self.is_lossless(prio), now);
-            ctx.record_trace(TraceEvent {
+            ctx.flight.record(TraceEvent {
                 at: now,
                 node: self.id,
                 flow: pkt.flow,
@@ -262,8 +257,7 @@ impl Switch {
             });
             return;
         }
-        ctx.metrics
-            .set_max(ctx.metrics.h.peak_buffer_bytes, self.buffer.occupied());
+        ctx.metrics.raise_peak_buffer(self.buffer.occupied());
 
         // 2. PFC threshold check on the ingress queue.
         if self.is_lossless(prio) {
@@ -278,12 +272,11 @@ impl Switch {
                 };
                 port.tx_pause_sent[prio] = true;
                 self.stats.pause_tx += 1;
-                ctx.metrics.inc(ctx.metrics.h.pause_tx);
                 port.pfc_queue
                     .push_back(Packet::pfc(self.id, att.peer, prio as u8, true));
                 self.paused_ingress.push((in_port.0, prio));
                 ctx.audit.on_pause(self.id, in_port.0, prio, now);
-                ctx.record_trace(TraceEvent {
+                ctx.flight.record(TraceEvent {
                     at: now,
                     node: self.id,
                     flow: pkt.flow,
@@ -315,7 +308,6 @@ impl Switch {
             // Unroutable: release and count as a drop.
             self.buffer.release(in_port.0, prio, wire);
             self.stats.drops_pool += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_pool);
             ctx.audit
                 .on_drop(self.id, prio, self.is_lossless(prio), now);
             return;
@@ -326,14 +318,12 @@ impl Switch {
         // 4. ECN marking on the instantaneous egress queue depth.
         let egress_depth = self.ports[out.0].queued_bytes[prio];
         if pkt.is_data() {
-            ctx.metrics
-                .observe(ctx.metrics.h.queue_depth_bytes, egress_depth);
+            ctx.metrics.queue_depth_bytes.observe(egress_depth);
         }
         if pkt.is_data() && self.config.red.should_mark(egress_depth, &mut ctx.rng) && pkt.mark_ce()
         {
             self.stats.ecn_marks += 1;
-            ctx.metrics.inc(ctx.metrics.h.ecn_marks);
-            ctx.record_trace(TraceEvent {
+            ctx.flight.record(TraceEvent {
                 at: now,
                 node: self.id,
                 flow: pkt.flow,
@@ -377,10 +367,9 @@ impl Switch {
         {
             self.buffer.release(in_port.0, prio, wire);
             self.stats.drops_lossy += 1;
-            ctx.metrics.inc(ctx.metrics.h.drops_lossy);
             ctx.audit
                 .on_drop(self.id, prio, self.is_lossless(prio), now);
-            ctx.record_trace(TraceEvent {
+            ctx.flight.record(TraceEvent {
                 at: now,
                 node: self.id,
                 flow: pkt.flow,
@@ -392,7 +381,6 @@ impl Switch {
 
         // 6. Enqueue and (maybe) start transmitting.
         self.stats.forwarded += 1;
-        ctx.metrics.inc(ctx.metrics.h.forwarded);
         self.ports[out.0].enqueue(Queued::new(pkt, Some((in_port.0, prio))).at(now));
         self.try_transmit(ctx, out);
     }
@@ -417,7 +405,6 @@ impl Switch {
             if port.pfc_ignore[class] {
                 port.pfc_ignore[class] = false;
                 self.stats.watchdog_restores += 1;
-                ctx.metrics.inc(ctx.metrics.h.watchdog_restores);
             }
             return;
         }
@@ -445,8 +432,7 @@ impl Switch {
         port.rx_paused[class] = false;
         port.rx_paused_since[class] = Time::NEVER;
         self.stats.watchdog_trips += 1;
-        ctx.metrics.inc(ctx.metrics.h.watchdog_trips);
-        ctx.record_trace(TraceEvent {
+        ctx.flight.record(TraceEvent {
             at: now,
             node: self.id,
             flow: crate::packet::FlowId(u64::MAX),
@@ -478,8 +464,7 @@ impl Switch {
         port.rx_paused[class] = false;
         port.rx_paused_since[class] = Time::NEVER;
         self.stats.watchdog_trips += 1;
-        ctx.metrics.inc(ctx.metrics.h.watchdog_trips);
-        ctx.record_trace(TraceEvent {
+        ctx.flight.record(TraceEvent {
             at: ctx.queue.now(),
             node: self.id,
             flow: crate::packet::FlowId(u64::MAX),
@@ -601,12 +586,11 @@ impl Switch {
                 let ing = &mut self.ports[ing_port];
                 ing.tx_pause_sent[prio] = false;
                 self.stats.resume_tx += 1;
-                ctx.metrics.inc(ctx.metrics.h.resume_tx);
                 ing.pfc_queue
                     .push_back(Packet::pfc(self.id, att.peer, prio as u8, false));
                 ctx.audit
                     .on_resume(self.id, ing_port, prio, ctx.queue.now());
-                ctx.record_trace(TraceEvent {
+                ctx.flight.record(TraceEvent {
                     at: ctx.queue.now(),
                     node: self.id,
                     flow: crate::packet::FlowId(u64::MAX),

@@ -1,47 +1,25 @@
-//! Flight recorder: a bounded ring of recent trace events per node,
-//! dumped automatically when something goes wrong.
+//! Flight recorder: the one record path of the trace-event stream.
 //!
-//! The recorder piggybacks on the [`crate::trace::TraceEvent`] stream:
-//! when enabled, every trace event is also appended to a small ring
-//! owned by the event's node. When the sanitize auditor records a
-//! violation, or a QP is torn down after exhausting retries, the ring of
-//! the offending node is snapshotted into a [`FlightDump`] — turning
-//! "audit failed at t=1.2ms" into the last N things that node did.
+//! Every [`TraceEvent`] the simulator emits goes through
+//! [`FlightRecorder::record`], which appends it to up to two bounded
+//! [`Tracer`] rings: the global packet trace (`Network::trace`, enabled
+//! by `Network::enable_trace`) and a small ring owned by the event's
+//! node. When the sanitize auditor records a violation, or a QP is torn
+//! down after exhausting retries, the ring of the offending node is
+//! snapshotted into a [`FlightDump`] — turning "audit failed at
+//! t=1.2ms" into the last N things that node did.
 //!
-//! Recording costs one branch when disabled (the default) and an index +
-//! ring write when enabled; dumps are cold and capped so a violation
-//! storm cannot allocate without bound.
+//! Recording costs one branch per ring kind when disabled (the default)
+//! and a ring write when enabled; dumps are cold and capped so a
+//! violation storm cannot allocate without bound.
 
 use crate::event::NodeId;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, Tracer};
 use crate::units::Time;
 
 /// Maximum number of dumps retained per run. Violation storms beyond
 /// this keep counting in the auditor but stop snapshotting.
 pub const MAX_DUMPS: usize = 8;
-
-#[derive(Debug, Clone, Default)]
-struct NodeRing {
-    events: Vec<TraceEvent>,
-    head: usize,
-}
-
-impl NodeRing {
-    fn record(&mut self, capacity: usize, ev: TraceEvent) {
-        if self.events.len() < capacity {
-            self.events.push(ev);
-        } else {
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % capacity;
-        }
-    }
-
-    /// Events oldest-first.
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        let (older, newer) = self.events.split_at(self.head);
-        newer.iter().chain(older.iter()).copied().collect()
-    }
-}
 
 /// One snapshot of a node's recent history, taken at a trigger point.
 #[derive(Debug, Clone)]
@@ -57,67 +35,80 @@ pub struct FlightDump {
     pub events: Vec<TraceEvent>,
 }
 
-/// Per-node bounded rings of recent trace events.
+/// The global trace ring plus per-node bounded rings of recent events.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
+    trace: Tracer,
     enabled: bool,
-    capacity: usize,
-    rings: Vec<NodeRing>,
+    rings: Vec<Tracer>,
     dumps: Vec<FlightDump>,
 }
 
 impl FlightRecorder {
-    /// A disabled recorder for `n_nodes` nodes. [`FlightRecorder::record`]
-    /// is a single branch until [`FlightRecorder::enable`] is called.
+    /// A recorder for `n_nodes` nodes with every ring disabled.
+    /// [`FlightRecorder::record`] is two branches until a ring is
+    /// enabled.
     pub fn new(n_nodes: usize) -> FlightRecorder {
         FlightRecorder {
+            trace: Tracer::disabled(),
             enabled: false,
-            capacity: 0,
-            rings: vec![NodeRing::default(); n_nodes],
+            rings: (0..n_nodes).map(|_| Tracer::disabled()).collect(),
             dumps: Vec::new(),
         }
     }
 
-    /// Enables recording with a ring of `capacity` events per node.
+    /// Enables the per-node rings with `capacity` events each.
     /// Re-enabling clears previously buffered events (same contract as
-    /// [`crate::trace::Tracer`] re-enable).
+    /// [`Tracer::enable`]).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn enable(&mut self, capacity: usize) {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         self.enabled = true;
-        self.capacity = capacity;
         for ring in &mut self.rings {
-            ring.events.clear();
-            ring.head = 0;
+            ring.enable(capacity);
         }
     }
 
-    /// Whether the recorder is currently buffering events.
+    /// Whether the per-node rings are buffering events.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Appends an event to its node's ring. One branch when disabled.
+    /// Enables the global trace ring with `capacity` events (0 disables
+    /// it; see [`Tracer::enable`]).
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.trace.enable(capacity);
+    }
+
+    /// The global trace ring.
+    pub fn trace(&self) -> &Tracer {
+        &self.trace
+    }
+
+    /// Appends an event to the global trace and to its node's ring. One
+    /// branch for each when disabled.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
+        self.trace.record(ev);
         if !self.enabled {
             return;
         }
         if let Some(ring) = self.rings.get_mut(ev.node.0) {
-            ring.record(self.capacity, ev);
+            ring.record(ev);
         }
     }
 
     /// Snapshots `node`'s ring into a [`FlightDump`]. No-op when the
-    /// recorder is disabled or [`MAX_DUMPS`] snapshots already exist.
+    /// per-node rings are disabled or [`MAX_DUMPS`] snapshots already
+    /// exist.
     pub fn dump(&mut self, node: NodeId, at: Time, reason: &str) {
         if !self.enabled || self.dumps.len() >= MAX_DUMPS {
             return;
         }
         let events = match self.rings.get(node.0) {
-            Some(ring) => ring.snapshot(),
+            Some(ring) => ring.iter().copied().collect(),
             None => Vec::new(),
         };
         self.dumps.push(FlightDump {

@@ -30,9 +30,8 @@
 //!   nondecreasing series is exactly the last sample of the interval.
 //!
 //! A [`TimelineSet`] holds named tracks behind `Copy` [`TrackId`]
-//! handles, mirroring the metrics registry discipline: registration
-//! (name lookup, allocation) is cold, the per-sample record path is an
-//! array index plus integer adds.
+//! handles: registration (name lookup, allocation) is cold, the
+//! per-sample record path is an array index plus integer adds.
 
 use crate::stats::TimeSeries;
 use crate::telemetry::json::Json;

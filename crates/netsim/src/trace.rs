@@ -81,8 +81,9 @@ pub struct TraceEvent {
     pub detail: u64,
 }
 
-/// A bounded ring of trace events (oldest evicted first).
-#[derive(Debug, Default)]
+/// A bounded ring of trace events (oldest evicted first). The flight
+/// recorder keeps one as the global packet trace and one per node.
+#[derive(Debug, Clone, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
     capacity: usize,

@@ -1,6 +1,7 @@
 //! End-to-end telemetry: a real congested run natively produces the
-//! paper's measurables through the metrics registry, the JSON report is
-//! deterministic, and QP teardown dumps the flight recorder.
+//! paper's measurables (counts derived from the per-node stats, plus the
+//! run-wide histograms), the JSON report is deterministic, and QP
+//! teardown dumps the flight recorder.
 
 use netsim::cc::NoCc;
 use netsim::host::HostConfig;
@@ -8,7 +9,7 @@ use netsim::packet::DATA_PRIORITY;
 use netsim::prelude::{FaultConfig, FaultPlan};
 use netsim::switch::SwitchConfig;
 use netsim::topology::{star, LinkParams};
-use netsim::trace::TraceKind;
+use netsim::trace::{TraceEvent, TraceKind};
 use netsim::units::{Duration, Time};
 
 fn host_cfg() -> HostConfig {
@@ -80,7 +81,9 @@ fn completions_and_fct_are_observed() {
 
 /// Tearing a QP down (transport retries exhausted against a dead link)
 /// dumps the sender's flight-recorder ring, and the ring holds the
-/// timeout trail that led to the teardown.
+/// timeout trail that led to the teardown. The ring and the global
+/// packet trace are fed by one record path, so the dump is exactly the
+/// tail of the trace filtered to the sender.
 #[test]
 fn qp_teardown_dumps_the_flight_recorder() {
     let mut s = star(
@@ -95,6 +98,7 @@ fn qp_teardown_dumps_the_flight_recorder() {
         3,
     );
     s.net.enable_flight_recorder(64);
+    s.net.enable_trace(1_000_000);
     let f = s.net.add_flow(s.hosts[0], s.hosts[1], DATA_PRIORITY, |l| {
         Box::new(NoCc::new(l))
     });
@@ -126,4 +130,15 @@ fn qp_teardown_dumps_the_flight_recorder() {
         d.events.iter().any(|e| e.kind == TraceKind::Timeout),
         "the ring holds the timeout trail"
     );
+
+    let key = |e: &TraceEvent| (e.at, e.node, e.flow, e.kind, e.detail);
+    let sender: Vec<_> = s
+        .net
+        .trace()
+        .iter()
+        .filter(|e| e.node == s.hosts[0])
+        .map(key)
+        .collect();
+    let tail = &sender[sender.len() - d.events.len()..];
+    assert_eq!(d.events.iter().map(key).collect::<Vec<_>>(), tail);
 }

@@ -126,7 +126,7 @@ fn fixture() -> (Star, PortId) {
 
 /// Counter tracks record per-interval deltas whose sum telescopes back
 /// to the counter itself — nothing double-counted, nothing lost — and
-/// the registry-backed tracks all populate from a real run.
+/// the counter-backed tracks all populate from a real run.
 #[test]
 fn network_sampling_conserves_counters() {
     let (s, port) = fixture();

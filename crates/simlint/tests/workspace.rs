@@ -16,7 +16,7 @@ const LEGACY_HOT_FILES: [&str; 9] = [
     "crates/netsim/src/switch.rs",
     "crates/netsim/src/port.rs",
     "crates/netsim/src/faults.rs",
-    "crates/netsim/src/telemetry/registry.rs",
+    "crates/netsim/src/telemetry/metrics.rs",
     "crates/netsim/src/telemetry/recorder.rs",
     "crates/netsim/src/telemetry/spans.rs",
 ];
