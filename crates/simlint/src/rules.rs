@@ -71,7 +71,7 @@ pub const RULES: [(&str, &str); 8] = [
     ),
     (
         "metric-lookup",
-        "no string-keyed metric registry calls in dispatch-reachable functions",
+        "no string-keyed metric lookups (registry calls, `.metric(name)`) in dispatch-reachable functions",
     ),
     (
         "determinism-taint",
@@ -471,7 +471,9 @@ fn metric_lookup(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
             let registration = ["counter", "gauge", "histogram"].contains(&m.text.as_str())
                 && matches!(toks.get(i + 2), Some(p) if p.is_punct("("))
                 && matches!(toks.get(i + 3), Some(s) if s.kind == TokKind::Str);
-            let by_name = ["counter_value", "gauge_value", "hist_by_name"]
+            // `.metric(name)` derives a fabric-wide total by walking
+            // every switch or flow: a cold, post-run accessor.
+            let by_name = ["counter_value", "gauge_value", "hist_by_name", "metric"]
                 .contains(&m.text.as_str())
                 && matches!(toks.get(i + 2), Some(p) if p.is_punct("("));
             if registration || by_name {
@@ -481,8 +483,7 @@ fn metric_lookup(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                     line: m.line,
                     msg: format!(
                         "`.{}(…)` string-keyed metric access in a dispatch-reachable \
-                         function; resolve a CounterId/GaugeId/HistId handle at \
-                         registration and index through it",
+                         function; update or read the field that owns the count",
                         m.text
                     ),
                     chain: Some(chain.to_owned()),

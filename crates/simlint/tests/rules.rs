@@ -149,6 +149,31 @@ fn metric_lookup_fires_on_bad_and_not_on_good() {
 }
 
 #[test]
+fn metric_by_name_fires_on_bad_and_not_on_good() {
+    let bad = analyze_one(
+        "metric_by_name_bad.rs",
+        include_str!("fixtures/metric_by_name_bad.rs"),
+    );
+    assert_eq!(
+        rules_fired(&bad),
+        vec!["metric-lookup"],
+        "{:#?}",
+        bad.findings
+    );
+    assert_eq!(bad.findings.len(), 1, "the `.metric(name)` call");
+
+    let good = analyze_one(
+        "metric_by_name_good.rs",
+        include_str!("fixtures/metric_by_name_good.rs"),
+    );
+    assert!(
+        good.findings.is_empty(),
+        "field access + cold by-name report must be clean: {:#?}",
+        good.findings
+    );
+}
+
+#[test]
 fn determinism_taint_fires_with_call_chain() {
     let bad = analyze_one(
         "determinism_taint_bad.rs",
