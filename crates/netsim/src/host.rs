@@ -287,15 +287,7 @@ impl Host {
     pub fn receive(&mut self, ctx: &mut Ctx, pkt: Packet) {
         match pkt.kind {
             PacketKind::Pfc { class, pause } => {
-                let now = ctx.queue.now();
-                let paused_since = self.port.rx_paused_since[class as usize];
-                let released = self.port.apply_pfc(class, pause, now);
-                if released {
-                    if paused_since != Time::NEVER {
-                        ctx.metrics
-                            .pause_duration_us
-                            .observe(now.saturating_since(paused_since).as_micros_f64() as u64);
-                    }
+                if self.port.receive_pfc(ctx, class, pause) {
                     self.try_send(ctx);
                 }
             }
@@ -709,12 +701,12 @@ impl Host {
     /// anything is eligible; otherwise arms a wakeup for the earliest
     /// pacing deadline.
     pub fn try_send(&mut self, ctx: &mut Ctx) {
-        if self.port.busy {
+        if self.port.current.is_some() {
             return;
         }
         // Control frames (ACK/NAK/CNP) first — they sit in the port queues.
         if self.port.has_eligible() {
-            self.start_tx(ctx);
+            self.port.start_tx(ctx, self.id, PortId(0));
             return;
         }
         let now = ctx.queue.now();
@@ -840,67 +832,13 @@ impl Host {
         self.apply_cc_actions(ctx, i);
 
         self.port.enqueue(Queued::new(pkt, None).at(now));
-        self.start_tx(ctx);
+        self.port.start_tx(ctx, host_id, PortId(0));
     }
 
-    /// Starts serialization of the next queued frame if the port is idle.
-    ///
-    /// As in [`crate::switch::Switch::try_transmit`], only `TxDone` is
-    /// scheduled here; [`Host::tx_done`] moves the finished frame out of
-    /// `port.current` and schedules its `Deliver`, avoiding a per-packet
-    /// clone and a second pending event per frame in flight.
-    fn start_tx(&mut self, ctx: &mut Ctx) {
-        let port = &mut self.port;
-        if port.busy {
-            return;
-        }
-        let Some(att) = port.attach else { return };
-        let Some(q) = port.dequeue_next() else { return };
-        let ser = att.bandwidth.serialize(q.pkt.wire_bytes);
-        let now = ctx.queue.now();
-        ctx.queue.schedule(
-            now + ser,
-            Event::TxDone {
-                node: self.id,
-                port: PortId(0),
-            },
-        );
-        port.current = Some(q);
-        port.busy = true;
-    }
-
-    /// The NIC finished serializing a frame: hand it to the wire.
+    /// The NIC finished serializing a frame: hand it to the wire and pick
+    /// the next one.
     pub fn tx_done(&mut self, ctx: &mut Ctx) {
-        self.port.busy = false;
-        if let Some(done) = self.port.finish_current() {
-            // `start_tx` only goes busy on an attached port; degrade to
-            // dropping the frame rather than panicking the run.
-            let Some(att) = self.port.attach else {
-                debug_assert!(false, "transmitting port must be attached");
-                return;
-            };
-            let now = ctx.queue.now();
-            if ctx.spans.is_enabled() && done.pkt.is_data() {
-                let ser = att.bandwidth.serialize(done.pkt.wire_bytes);
-                ctx.spans.record_hop(crate::telemetry::spans::HopSpan {
-                    flow: done.pkt.flow,
-                    node: self.id,
-                    port: PortId(0),
-                    enqueued: done.enqueued_at,
-                    start: now - ser,
-                    end: now,
-                });
-            }
-            let pkt = ctx.pool.insert(done.pkt);
-            ctx.queue.schedule(
-                now + att.delay,
-                Event::Deliver {
-                    node: att.peer,
-                    port: att.peer_port,
-                    pkt,
-                },
-            );
-        }
+        self.port.finish_tx(ctx, self.id, PortId(0));
         self.try_send(ctx);
         self.update_spans(ctx);
     }

@@ -12,6 +12,9 @@
 //!   `null` (JSON has no NaN/Inf);
 //! * output is pretty-printed with two-space indentation and `\n` line
 //!   endings only.
+//!
+//! `simlint` compiles this file directly (`#[path]`) as its own JSON
+//! codec, so it must stay std-only: no `crate::` or external imports.
 
 use std::fmt::Write as _;
 

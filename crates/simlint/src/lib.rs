@@ -15,6 +15,9 @@
 pub mod baseline;
 pub mod callgraph;
 pub mod items;
+// The simulator's JSON codec, compiled in directly so simlint keeps no
+// dependency on the simulator crates.
+#[path = "../../netsim/src/telemetry/json.rs"]
 pub mod json;
 pub mod lexer;
 pub mod rules;
@@ -288,5 +291,5 @@ pub fn render_report(analysis: &Analysis, ratchet: &RatchetResult) -> String {
             ]),
         ),
     ])
-    .pretty()
+    .render()
 }

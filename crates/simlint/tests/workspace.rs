@@ -115,7 +115,7 @@ fn json_report_is_byte_stable_across_runs() {
 fn shard_report_lists_ctx_threading_functions() {
     let sources = collect_workspace_sources(&workspace_root()).expect("collect");
     let a = analyze_sources(&sources, &Config::default());
-    let report = a.shard_report.pretty();
+    let report = a.shard_report.render();
     // The dispatch loop threads &mut Ctx through node handlers — the
     // sharding work-list must see it.
     assert!(
