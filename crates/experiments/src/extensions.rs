@@ -53,7 +53,6 @@ pub fn rai_scaling(quick: bool) {
         s.net.enable_sampling(
             Duration::from_micros(20),
             SamplerConfig {
-                all_flows: true,
                 queues: vec![(s.switch, port)],
                 ..SamplerConfig::default()
             },
@@ -228,13 +227,8 @@ pub fn reverse_path_sensitivity(quick: bool) {
             });
             s.net.send_message(rf, u64::MAX, t_rev);
         }
-        s.net.enable_sampling(
-            Duration::from_micros(200),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        s.net
+            .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
         let end = Time::ZERO + duration;
         s.net.run_until(end);
         let before = s.net.goodput_gbps(fwd, Time::ZERO + duration / 4, t_rev);
@@ -340,13 +334,8 @@ pub fn fat_tree_scale(quick: bool) {
                 fl
             })
             .collect();
-        ft.net.enable_sampling(
-            Duration::from_micros(500),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        ft.net
+            .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
         let end = Time::ZERO + duration;
         ft.net.run_until(end);
         let from = Time::ZERO + duration / 2;

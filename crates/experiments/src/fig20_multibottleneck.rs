@@ -26,13 +26,7 @@ fn run_one(red: RedConfig, duration: Duration, seed: u64) -> [f64; 3] {
     for fl in [f1, f2, f3] {
         net.send_message(fl, u64::MAX, Time::ZERO);
     }
-    net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    net.enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     let end = Time::ZERO + duration;
     net.run_until(end);
     let from = Time::ZERO + duration / 2;

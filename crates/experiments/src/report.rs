@@ -62,13 +62,6 @@ pub fn set_trace_dir(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Is a Chrome-trace sink active? Experiments gate their (serial)
-/// trace-producing attribution runs on this where the trace is the only
-/// consumer.
-pub fn trace_enabled() -> bool {
-    STATE.lock().unwrap().trace_dir.is_some()
-}
-
 /// Writes the dispatched experiment's Chrome trace to
 /// `<trace dir>/<id>.trace.json` (no-op without a trace sink). The
 /// render is a pure function of the run results and experiments export

@@ -80,13 +80,8 @@ pub fn unfairness_scenario(
     for &fl in &flows {
         tb.net.send_message(fl, u64::MAX, Time::ZERO);
     }
-    tb.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     tb.net.run_until(Time::ZERO + duration);
     (tb, flows)
 }
@@ -145,13 +140,8 @@ pub fn victim_scenario(
     for &fl in &flows {
         tb.net.send_message(fl, u64::MAX, Time::ZERO);
     }
-    tb.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     tb.net.run_until(Time::ZERO + duration);
     (tb, victim)
 }
@@ -344,13 +334,8 @@ pub fn benchmark_run(cfg: &BenchmarkConfig) -> BenchmarkResult {
         Vec::new()
     };
 
-    tb.net.enable_sampling(
-        Duration::from_micros(1000),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(1000), SamplerConfig::default());
     let end = Time::ZERO + cfg.duration;
     tb.net.run_until(end);
 
@@ -457,13 +442,8 @@ pub fn link_flap_run(
             ..FaultConfig::default()
         },
     );
-    tb.net.enable_sampling(
-        Duration::from_micros(200),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
     let end = Time::ZERO + duration;
     tb.net.run_until(end);
 
@@ -552,13 +532,8 @@ pub fn pause_storm_victim_run(
         Duration::from_micros(20),
     );
     tb.net.install_faults(&plan, FaultConfig::default());
-    tb.net.enable_sampling(
-        Duration::from_micros(200),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    tb.net
+        .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
     let end = Time::ZERO + duration;
     tb.net.run_until(end);
 

@@ -84,7 +84,6 @@ fn sampler_series_are_well_formed() {
     s.net.enable_sampling(
         Duration::from_micros(100),
         SamplerConfig {
-            all_flows: true,
             queues: vec![(s.switch, PortId(2))],
             rate_flows: vec![f],
             ..SamplerConfig::default()

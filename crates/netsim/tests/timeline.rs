@@ -114,7 +114,6 @@ fn fixture() -> (Star, PortId) {
     s.net.enable_sampling(
         Duration::from_micros(20),
         SamplerConfig {
-            all_flows: true,
             queues: vec![(s.switch, port)],
             counters: vec!["forwarded", "pause_tx"],
             ..SamplerConfig::default()

@@ -29,13 +29,8 @@ fn incast_goodputs(
     for &f in &flows {
         s.net.send_message(f, u64::MAX, Time::ZERO);
     }
-    s.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    s.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     let end = Time::from_millis(millis);
     s.net.run_until(end);
     flows
@@ -144,13 +139,8 @@ fn late_joiner_reaches_fair_share() {
     let f2 = s.net.add_flow(s.hosts[1], r, DATA_PRIORITY, dcqcn(p));
     s.net.send_message(f1, u64::MAX, Time::ZERO);
     s.net.send_message(f2, u64::MAX, Time::from_millis(50));
-    s.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    s.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     s.net.run_until(Time::from_millis(250));
     let g1 = s
         .net

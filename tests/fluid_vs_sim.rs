@@ -29,7 +29,6 @@ fn packet_incast(n: usize, millis: u64) -> (Vec<f64>, f64) {
     s.net.enable_sampling(
         Duration::from_micros(100),
         SamplerConfig {
-            all_flows: true,
             queues: vec![(s.switch, port)],
             ..SamplerConfig::default()
         },
@@ -147,13 +146,8 @@ fn strawman_verdict_transfers_to_packets() {
         .add_flow(s.hosts[1], dst, DATA_PRIORITY, dcqcn(cc_params));
     s.net.send_message(f1, u64::MAX, Time::ZERO);
     s.net.send_message(f2, u64::MAX, Time::from_millis(50));
-    s.net.enable_sampling(
-        Duration::from_micros(500),
-        SamplerConfig {
-            all_flows: true,
-            ..SamplerConfig::default()
-        },
-    );
+    s.net
+        .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
     s.net.run_until(Time::from_millis(400));
     let g1 = s
         .net

@@ -146,13 +146,7 @@ fn red_marking_mitigates_multi_bottleneck() {
         for fl in [f1, f2, f3] {
             net.send_message(fl, u64::MAX, Time::ZERO);
         }
-        net.enable_sampling(
-            Duration::from_micros(500),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        net.enable_sampling(Duration::from_micros(500), SamplerConfig::default());
         net.run_until(Time::from_millis(300));
         [f1, f2, f3].map(|fl| net.goodput_gbps(fl, Time::from_millis(150), Time::from_millis(300)))
     };
@@ -187,13 +181,8 @@ fn deep_incast_keeps_high_utilization() {
         for &f in &flows {
             s.net.send_message(f, u64::MAX, Time::ZERO);
         }
-        s.net.enable_sampling(
-            Duration::from_micros(500),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        s.net
+            .enable_sampling(Duration::from_micros(500), SamplerConfig::default());
         s.net.run_until(Time::from_millis(200));
         let total: f64 = flows
             .iter()

@@ -104,13 +104,8 @@ fn reverse_congestion_hurts_timely_not_dcqcn() {
             });
             s.net.send_message(rf, u64::MAX, Time::from_millis(20));
         }
-        s.net.enable_sampling(
-            Duration::from_micros(200),
-            SamplerConfig {
-                all_flows: true,
-                ..SamplerConfig::default()
-            },
-        );
+        s.net
+            .enable_sampling(Duration::from_micros(200), SamplerConfig::default());
         s.net.run_until(Time::from_millis(60));
         s.net
             .goodput_gbps(fwd, Time::from_millis(30), Time::from_millis(60))
